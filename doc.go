@@ -244,6 +244,15 @@
 // disk-access metric. Window queries bypass the memo (their ranks are
 // window-relative); Engine.MemoStats aggregates counters across versions.
 //
+// Each version also carries its historical TS: the value-sorted union of
+// its partition summaries with their L/U prefix terms, built once, on the
+// first full-history query against the version, and dropped with it —
+// installs and merges never pay for it. A quick query then costs a linear
+// merge of the β₂-sized stream pieces (the live sketch's summary, itself
+// extracted in one sweep of the GK tuples, plus any sealed-step summaries)
+// onto that base, or nothing beyond a binary search when no values are
+// live. Window queries cover a partition subset and sort their own.
+//
 // # Durability
 //
 // The warehouse is crash-consistent, with one exact guarantee: after a

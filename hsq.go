@@ -833,7 +833,10 @@ func (e *Engine) snapshot() (*querySnap, error) {
 	s := &querySnap{ver: e.store.Pin()}
 	s.sums = s.ver.Entries()
 	s.n = s.ver.TotalCount()
-	s.pieces = make([]core.StreamPiece, 0, len(e.sealed)+1)
+	s.m = e.sketch.Count()
+	if len(e.sealed) > 0 || s.m > 0 {
+		s.pieces = make([]core.StreamPiece, 0, len(e.sealed)+1)
+	}
 	// Only pieces the pinned version has not installed yet: an install
 	// publishes its version before the engine retires the frozen summary,
 	// and filtering on the version's own step count keeps the snapshot
@@ -848,7 +851,6 @@ func (e *Engine) snapshot() (*querySnap, error) {
 		s.n += p.count
 	}
 	s.sealed = len(s.pieces)
-	s.m = e.sketch.Count()
 	if s.m > 0 {
 		s.pieces = append(s.pieces, core.StreamPiece{SS: core.StreamSummary(e.sketch, e.eps2), M: s.m})
 		s.n += s.m
@@ -856,12 +858,22 @@ func (e *Engine) snapshot() (*querySnap, error) {
 	return s, nil
 }
 
-// accurate runs the bisection query over a snapshot subset. memo, when
-// non-nil, must be the rank-probe memo of the version whose FULL entry set
-// sums is — full-history queries pass the pinned version's memo, windowed
-// queries (a partition subset) pass nil.
-func (e *Engine) accurate(sums []*partition.Summary, pieces []core.StreamPiece, memo *partition.ProbeMemo, r int64, opts QueryOpts, interrupt func() error) (int64, QueryStats, error) {
-	vs, stats, err := e.accurateMulti(sums, pieces, memo, []int64{r}, opts, interrupt)
+// combined builds TS over a snapshot subset. full, when non-nil, must be
+// the pinned version whose FULL entry set sums is: TS then merges the
+// pieces onto the version's cached History, and the version's rank-probe
+// memo applies. Windowed queries (a partition subset) pass nil, sort their
+// own historical side and get no memo.
+func (e *Engine) combined(full *partition.Version, sums []*partition.Summary, pieces []core.StreamPiece) (*core.Combined, *partition.ProbeMemo) {
+	if full != nil {
+		return core.BuildVersion(full, pieces, e.eps2), full.Memo()
+	}
+	return core.BuildPieces(sums, pieces, e.eps1, e.eps2), nil
+}
+
+// accurate runs the bisection query over a snapshot subset; full as in
+// combined.
+func (e *Engine) accurate(full *partition.Version, sums []*partition.Summary, pieces []core.StreamPiece, r int64, opts QueryOpts, interrupt func() error) (int64, QueryStats, error) {
+	vs, stats, err := e.accurateMulti(full, sums, pieces, []int64{r}, opts, interrupt)
 	if err != nil {
 		return 0, QueryStats{}, err
 	}
@@ -869,10 +881,10 @@ func (e *Engine) accurate(sums []*partition.Summary, pieces []core.StreamPiece, 
 }
 
 // accurateMulti runs one shared bisection sweep resolving every rank target
-// together (see core.AccurateMultiQueryOpts); memo as in accurate.
-func (e *Engine) accurateMulti(sums []*partition.Summary, pieces []core.StreamPiece, memo *partition.ProbeMemo, rs []int64, opts QueryOpts, interrupt func() error) ([]int64, QueryStats, error) {
+// together (see core.AccurateMultiQueryOpts); full as in combined.
+func (e *Engine) accurateMulti(full *partition.Version, sums []*partition.Summary, pieces []core.StreamPiece, rs []int64, opts QueryOpts, interrupt func() error) ([]int64, QueryStats, error) {
 	t0 := time.Now()
-	c := core.BuildPieces(sums, pieces, e.eps1, e.eps2)
+	c, memo := e.combined(full, sums, pieces)
 	vs, cost, err := core.AccurateMultiQueryOpts(c, e.cfg.Epsilon, rs, core.QueryOptions{
 		PinBlocks: !e.cfg.NoBlockPin,
 		Parallel:  e.cfg.ParallelQuery,
@@ -918,7 +930,7 @@ func (e *Engine) rankQuery(r int64, interrupt func() error) (int64, QueryStats, 
 	if s.n == 0 {
 		return 0, QueryStats{}, fmt.Errorf("hsq: query on empty dataset")
 	}
-	return e.accurate(s.sums, s.pieces, s.ver.Memo(), r, QueryOpts{}, interrupt)
+	return e.accurate(s.ver, s.sums, s.pieces, r, QueryOpts{}, interrupt)
 }
 
 // QuantileOpts answers an accurate φ-quantile with per-query options (e.g.
@@ -940,7 +952,7 @@ func (e *Engine) quantileOpts(phi float64, opts QueryOpts, interrupt func() erro
 	if s.n == 0 {
 		return 0, QueryStats{}, fmt.Errorf("hsq: query on empty dataset")
 	}
-	return e.accurate(s.sums, s.pieces, s.ver.Memo(), r, opts, interrupt)
+	return e.accurate(s.ver, s.sums, s.pieces, r, opts, interrupt)
 }
 
 // QuantileQuick answers a φ-quantile query from in-memory summaries only
@@ -969,16 +981,16 @@ func (e *Engine) RankQueryQuick(r int64) (int64, error) {
 }
 
 func (e *Engine) quick(s *querySnap, r int64) (int64, error) {
-	return e.quickOver(s.sums, s.pieces, s.n, r)
+	return e.quickOver(s.ver, s.sums, s.pieces, s.n, r)
 }
 
 // quickOver is the in-memory-only query core shared by the full-history
-// and windowed quick paths.
-func (e *Engine) quickOver(sums []*partition.Summary, pieces []core.StreamPiece, n, r int64) (int64, error) {
+// and windowed quick paths; full as in combined.
+func (e *Engine) quickOver(full *partition.Version, sums []*partition.Summary, pieces []core.StreamPiece, n, r int64) (int64, error) {
 	if n == 0 {
 		return 0, fmt.Errorf("hsq: query on empty dataset")
 	}
-	c := core.BuildPieces(sums, pieces, e.eps1, e.eps2)
+	c, _ := e.combined(full, sums, pieces)
 	return c.QuickQuery(r)
 }
 
@@ -1060,7 +1072,7 @@ func (e *Engine) windowQuantile(phi float64, steps int, interrupt func() error) 
 	}
 	// Windowed queries probe a partition subset, so the version memo (keyed
 	// by full-history ranks) does not apply.
-	return e.accurate(sums, pieces, nil, r, QueryOpts{}, interrupt)
+	return e.accurate(nil, sums, pieces, r, QueryOpts{}, interrupt)
 }
 
 // WindowQuantileQuick is the in-memory-only windowed query.
@@ -1078,7 +1090,7 @@ func (e *Engine) WindowQuantileQuick(phi float64, steps int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.quickOver(sums, pieces, n, r)
+	return e.quickOver(nil, sums, pieces, n, r)
 }
 
 // MemoryUsage returns the current summary footprint (Observation 1).
@@ -1261,7 +1273,7 @@ func (e *Engine) Rank(v int64) (int64, QueryStats, error) {
 		return 0, QueryStats{}, fmt.Errorf("hsq: rank query on empty dataset")
 	}
 	t0 := time.Now()
-	c := core.BuildPieces(s.sums, s.pieces, e.eps1, e.eps2)
+	c := core.BuildVersion(s.ver, s.pieces, e.eps2)
 	r, cost, err := core.RankOfValue(c, v, !e.cfg.NoBlockPin)
 	if err != nil {
 		return 0, QueryStats{}, err
@@ -1286,7 +1298,7 @@ func (e *Engine) RankQuick(v int64) (int64, error) {
 	if s.n == 0 {
 		return 0, fmt.Errorf("hsq: rank query on empty dataset")
 	}
-	c := core.BuildPieces(s.sums, s.pieces, e.eps1, e.eps2)
+	c := core.BuildVersion(s.ver, s.pieces, e.eps2)
 	return c.QuickRank(v), nil
 }
 
@@ -1325,7 +1337,7 @@ func (e *Engine) quantilesOpts(phis []float64, opts QueryOpts, interrupt func() 
 			return nil, QueryStats{}, err
 		}
 	}
-	return e.accurateMulti(s.sums, s.pieces, s.ver.Memo(), rs, opts, interrupt)
+	return e.accurateMulti(s.ver, s.sums, s.pieces, rs, opts, interrupt)
 }
 
 // LevelInfo describes one level of the on-disk store.

@@ -27,23 +27,15 @@ func StreamSummary(g *gk.Sketch, eps2 float64) []int64 {
 	if m == 0 {
 		return nil
 	}
-	beta2 := beta(eps2)
-	ss := make([]int64, 0, beta2)
-	mn, _ := g.Min()
-	ss = append(ss, mn)
+	ss := make([]int64, beta(eps2))
+	ss[0], _ = g.Min()
 	em := eps2 * float64(m)
-	for i := 1; i < beta2; i++ {
-		r := int64(float64(i)*em + em/2)
-		if r < 1 {
-			r = 1
-		}
-		if r > m {
-			r = m
-		}
-		v, _ := g.Query(r)
-		ss = append(ss, v)
+	for i := 1; i < len(ss); i++ {
+		ss[i] = max(1, min(int64(float64(i)*em+em/2), m))
 	}
-	slices.Sort(ss)
+	// The ranks ascend, so one sweep answers them all, in ascending order:
+	// with the exact minimum first, SS comes out sorted.
+	g.QueryRanks(ss[1:])
 	return ss
 }
 
@@ -67,21 +59,13 @@ type StreamPiece struct {
 	M int64
 }
 
-// tsItem is one element of the combined summary TS with its source: src ==
-// -1-j for stream piece j, otherwise the index of the historical summary it
-// came from.
-type tsItem struct {
-	v   int64
-	src int
-}
-
 // Combined is TS — the sorted union of all historical summaries and the
 // stream-side piece summaries — together with the per-item rank bounds L
 // and U of Lemma 2.
 type Combined struct {
-	items []tsItem
-	lower []float64 // L_i
-	upper []float64 // U_i
+	values []int64   // TS_i
+	lower  []float64 // L_i
+	upper  []float64 // U_i
 
 	sums    []*partition.Summary
 	streams []StreamPiece
@@ -96,10 +80,10 @@ type Combined struct {
 func (c *Combined) N() int64 { return c.histN + c.m }
 
 // Len returns δ, the number of TS entries.
-func (c *Combined) Len() int { return len(c.items) }
+func (c *Combined) Len() int { return len(c.values) }
 
 // Value returns TS[i].
-func (c *Combined) Value(i int) int64 { return c.items[i].v }
+func (c *Combined) Value(i int) int64 { return c.values[i] }
 
 // Bounds returns (L_i, U_i).
 func (c *Combined) Bounds(i int) (float64, float64) { return c.lower[i], c.upper[i] }
@@ -131,17 +115,20 @@ func BuildCombined(sums []*partition.Summary, ss []int64, m int64, eps1, eps2 fl
 }
 
 // BuildVersion constructs TS over a pinned store version plus the
-// memory-resident stream pieces — the snapshot-isolated query entry point:
-// the version's partition set and summaries are immutable, so the query
-// runs entirely outside the engine's write lock while installs and merges
-// publish newer versions behind it.
-func BuildVersion(v *partition.Version, pieces []StreamPiece, eps1, eps2 float64) *Combined {
-	return BuildPieces(v.Entries(), pieces, eps1, eps2)
+// memory-resident stream pieces — the snapshot-isolated full-history query
+// entry point: the version's partition set and summaries are immutable, so
+// the query runs entirely outside the engine's write lock while installs
+// and merges publish newer versions behind it. The historical side is the
+// version's cached History (weighted with the store's ε₁), so a query pays
+// only for merging the pieces onto it, and nothing when there are none.
+func BuildVersion(v *partition.Version, pieces []StreamPiece, eps2 float64) *Combined {
+	return buildOn(v.Entries(), v.History(), pieces, eps2)
 }
 
-// BuildPieces constructs TS and computes every L_i and U_i with one sweep
-// (the formulas preceding Lemma 2, with the stream term summed over every
-// memory-resident piece):
+// BuildPieces constructs TS over any set of partition summaries — a window
+// subset, or the synthetic summaries of merged shards — sorting their
+// union first. TS and every L_i and U_i follow the formulas preceding
+// Lemma 2, with the stream term summed over every memory-resident piece:
 //
 //	L_i = Σ_j ε₂·m_j·b_j·(α_{S_j} − 1) + Σ_{P: α_P>0} m_P·ε₁·(α_P − 1)
 //	U_i = Σ_j ε₂·m_j·b_j·(α_{S_j} + 1) + Σ_{P: α_P>0} m_P·ε₁·α_P
@@ -151,73 +138,69 @@ func BuildVersion(v *partition.Version, pieces []StreamPiece, eps1, eps2 float64
 // piece this is exactly the paper's bound; each extra sealed-batch piece
 // contributes its own independent ε₂·m_j band.
 func BuildPieces(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 float64) *Combined {
-	var histN int64
-	for _, s := range sums {
-		histN += s.Part.Count
-	}
-	var m int64
-	for _, p := range pieces {
-		m += p.M
-	}
-	c := &Combined{sums: sums, streams: pieces, m: m, histN: histN, eps1: eps1, eps2: eps2}
+	return buildOn(sums, partition.NewHistory(sums, eps1), pieces, eps2)
+}
 
-	total := 0
+// pieceCursor walks one stream piece during the merge.
+type pieceCursor struct {
+	ss  []int64
+	i   int
+	em2 float64 // ε₂·m_j
+}
+
+// buildOn merges the stream pieces onto the historical side h of sums in
+// one linear pass, accumulating the stream terms of L and U beside h's
+// prefix terms. Equal values take stream pieces before partitions, and
+// among pieces the higher index first; h already orders partitions by
+// index. With no piece elements TS is h itself.
+func buildOn(sums []*partition.Summary, h *partition.History, pieces []StreamPiece, eps2 float64) *Combined {
+	c := &Combined{sums: sums, streams: pieces, histN: h.N, eps1: h.Eps1, eps2: eps2}
+	total := len(h.Values)
 	for _, p := range pieces {
+		c.m += p.M
 		total += len(p.SS)
 	}
-	for _, s := range sums {
-		total += len(s.Values)
+	if total == len(h.Values) {
+		c.values, c.lower, c.upper = h.Values, h.L, h.U
+		return c
 	}
-	c.items = make([]tsItem, 0, total)
+	cur := make([]pieceCursor, len(pieces))
 	for j, p := range pieces {
-		for _, v := range p.SS {
-			c.items = append(c.items, tsItem{v, -1 - j})
+		ss := p.SS
+		if !slices.IsSorted(ss) {
+			ss = slices.Sorted(slices.Values(ss))
 		}
+		cur[j] = pieceCursor{ss: ss, em2: eps2 * float64(p.M)}
 	}
-	for si, s := range sums {
-		for _, v := range s.Values {
-			c.items = append(c.items, tsItem{v, si})
-		}
-	}
-	slices.SortFunc(c.items, func(a, b tsItem) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		default:
-			return a.src - b.src
-		}
-	})
-
-	c.lower = make([]float64, len(c.items))
-	c.upper = make([]float64, len(c.items))
-	// Running terms, updated as prefix counts per source grow.
+	c.values = make([]int64, total)
+	c.lower = make([]float64, total)
+	c.upper = make([]float64, total)
 	var streamL, streamU float64 // Σ_j ε₂·m_j·b_j·(α_j∓1) terms
-	var histL, histU float64     // Σ m_P·ε₁·(α_P−1) and Σ m_P·ε₁·α_P
-	alphaS := make([]int, len(pieces))
-	alphaP := make([]int, len(sums))
-	for i, it := range c.items {
-		if it.src < 0 {
-			j := -1 - it.src
-			em2 := eps2 * float64(pieces[j].M)
-			alphaS[j]++
-			if alphaS[j] == 1 {
+	var histL, histU float64     // h's prefix terms of the items merged so far
+	hi := 0
+	for i := range c.values {
+		// The piece holding the smallest unmerged value, the highest
+		// index on ties.
+		var p *pieceCursor
+		for j := len(cur) - 1; j >= 0; j-- {
+			if q := &cur[j]; q.i < len(q.ss) && (p == nil || q.ss[q.i] < p.ss[p.i]) {
+				p = q
+			}
+		}
+		if p != nil && (hi == len(h.Values) || p.ss[p.i] <= h.Values[hi]) {
+			c.values[i] = p.ss[p.i]
+			p.i++
+			if p.i == 1 {
 				// b_j flips to 1: L gains 0 (α−1 = 0), U gains 2·ε₂m_j.
-				streamU += 2 * em2
+				streamU += 2 * p.em2
 			} else {
-				streamL += em2
-				streamU += em2
+				streamL += p.em2
+				streamU += p.em2
 			}
 		} else {
-			w := float64(sums[it.src].Part.Count) * eps1
-			alphaP[it.src]++
-			if alphaP[it.src] == 1 {
-				histU += w // α_P = 1 contributes w to U, 0 to L
-			} else {
-				histL += w
-				histU += w
-			}
+			c.values[i] = h.Values[hi]
+			histL, histU = h.L[hi], h.U[hi]
+			hi++
 		}
 		c.lower[i] = streamL + histL
 		c.upper[i] = streamU + histU
@@ -229,7 +212,7 @@ func BuildPieces(sums []*partition.Summary, pieces []StreamPiece, eps1, eps2 flo
 // L_j ≥ r, or the last element if none. The returned element's rank is
 // within 1.5·εN of r (Lemma 3).
 func (c *Combined) QuickQuery(r int64) (int64, error) {
-	if len(c.items) == 0 {
+	if len(c.values) == 0 {
 		return 0, fmt.Errorf("core: quick query on empty summary")
 	}
 	fr := float64(r)
@@ -237,14 +220,14 @@ func (c *Combined) QuickQuery(r int64) (int64, error) {
 	if j == len(c.lower) {
 		j = len(c.lower) - 1
 	}
-	return c.items[j].v, nil
+	return c.values[j], nil
 }
 
 // Filters implements Algorithm 7: values u, v from TS with rank(u,T) ≤ r ≤
 // rank(v,T) and rank spread < 4εN (Lemma 4). When no U_i ≤ r exists the
 // global minimum is used; when no L_i ≥ r exists the global maximum is used.
 func (c *Combined) Filters(r int64) (u, v int64, err error) {
-	if len(c.items) == 0 {
+	if len(c.values) == 0 {
 		return 0, 0, fmt.Errorf("core: filters on empty summary")
 	}
 	fr := float64(r)
@@ -258,7 +241,7 @@ func (c *Combined) Filters(r int64) (u, v int64, err error) {
 	if y == len(c.lower) {
 		y = len(c.lower) - 1
 	}
-	u, v = c.items[x].v, c.items[y].v
+	u, v = c.values[x], c.values[y]
 	if u > v {
 		// Only possible at the clamped extremes; normalize.
 		u, v = v, u

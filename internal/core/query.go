@@ -217,18 +217,18 @@ func snapUpFrom(c *Combined, histE int64, histOK bool, z int64) (int64, error) {
 
 // globalMin returns the smallest element recorded in any summary.
 func (c *Combined) globalMin() (int64, error) {
-	if len(c.items) == 0 {
+	if len(c.values) == 0 {
 		return 0, fmt.Errorf("core: no data")
 	}
-	return c.items[0].v, nil
+	return c.values[0], nil
 }
 
 // globalMax returns the largest element recorded in any summary.
 func (c *Combined) globalMax() (int64, error) {
-	if len(c.items) == 0 {
+	if len(c.values) == 0 {
 		return 0, fmt.Errorf("core: no data")
 	}
-	return c.items[len(c.items)-1].v, nil
+	return c.values[len(c.values)-1], nil
 }
 
 // ExactStreamRank is a helper for engines that also track the raw batch in
@@ -252,13 +252,13 @@ func ExactStreamRank(sortedBatch []int64, z int64) int64 {
 // and the harness's self-check mode.
 func (c *Combined) Validate(eps float64, rankOf func(v int64) int64) error {
 	en := eps * float64(c.N())
-	for i := range c.items {
-		ri := float64(rankOf(c.items[i].v))
+	for i := range c.values {
+		ri := float64(rankOf(c.values[i]))
 		if c.lower[i] > ri+1e-9 {
-			return fmt.Errorf("core: L_%d=%.1f > rank=%.0f (v=%d)", i, c.lower[i], ri, c.items[i].v)
+			return fmt.Errorf("core: L_%d=%.1f > rank=%.0f (v=%d)", i, c.lower[i], ri, c.values[i])
 		}
 		if c.upper[i] < ri-1e-9 {
-			return fmt.Errorf("core: U_%d=%.1f < rank=%.0f (v=%d)", i, c.upper[i], ri, c.items[i].v)
+			return fmt.Errorf("core: U_%d=%.1f < rank=%.0f (v=%d)", i, c.upper[i], ri, c.values[i])
 		}
 		if c.upper[i]-c.lower[i] > en+1e-9 {
 			return fmt.Errorf("core: U_%d-L_%d=%.1f > εN=%.1f", i, i, c.upper[i]-c.lower[i], en)

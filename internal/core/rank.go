@@ -11,7 +11,7 @@ import (
 // ≤ v. The error is at most εN/2 + the inter-entry gap εN, i.e. O(εN) —
 // the quick-response analogue for rank queries.
 func (c *Combined) QuickRank(v int64) int64 {
-	i := sort.Search(len(c.items), func(i int) bool { return c.items[i].v > v }) - 1
+	i := sort.Search(len(c.values), func(i int) bool { return c.values[i] > v }) - 1
 	if i < 0 {
 		return 0
 	}

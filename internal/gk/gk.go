@@ -255,6 +255,35 @@ func (s *Sketch) queryLocked(r int64) (int64, bool) {
 	return s.tuples[len(s.tuples)-1].v, true
 }
 
+// QueryRanks replaces every rank r of rs with Query(r), in one sweep of
+// the tuple list under one lock: O(tuples + len(rs)) instead of len(rs)
+// scans. rs must be non-decreasing; the answers then are too, because the
+// tuple Query answers from can only move right as r grows. On an empty
+// sketch rs is left as is and QueryRanks returns false.
+func (s *Sketch) QueryRanks(rs []int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flush()
+	if len(s.tuples) == 0 {
+		return false
+	}
+	e := int64(math.Ceil(s.eps * float64(s.n)))
+	// i is the first tuple whose rmax may still exceed r+e; rmin is its
+	// rmin.
+	i, rmin := 0, s.tuples[0].g
+	for k, r := range rs {
+		r = max(1, min(r, s.n))
+		for i < len(s.tuples) && rmin+s.tuples[i].delta <= r+e {
+			i++
+			if i < len(s.tuples) {
+				rmin += s.tuples[i].g
+			}
+		}
+		rs[k] = s.tuples[max(i-1, 0)].v
+	}
+	return true
+}
+
 // Quantile returns an element approximating the φ-quantile (smallest element
 // with rank ≥ ⌈φn⌉), within ±εn rank error.
 func (s *Sketch) Quantile(phi float64) (int64, bool) {

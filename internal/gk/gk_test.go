@@ -287,3 +287,61 @@ func TestBandMonotonicity(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryRanksMatchesQuery checks the one-sweep multi-rank query against
+// per-rank Query on twin sketches fed the same data, at the engine's
+// stream-summary ε values, with a non-empty pending buffer at the time of
+// the call and ranks that repeat or fall outside [1, n].
+func TestQueryRanksMatchesQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	gens := map[string]func(i int) int64{
+		"uniform":    func(int) int64 { return rng.Int63n(1_000_000) },
+		"sorted":     func(i int) int64 { return int64(i) },
+		"duplicates": func(int) int64 { return rng.Int63n(7) },
+	}
+	withPending := 0
+	for _, eps := range []float64{0.1, 0.01, 0.00125} {
+		for name, gen := range gens {
+			for _, n := range []int{1, 2, 37, 1_000, 20_011} {
+				sweep, single := MustNew(eps), MustNew(eps)
+				for i := 0; i < n; i++ {
+					v := gen(i)
+					sweep.Insert(v)
+					single.Insert(v)
+				}
+				pending := len(sweep.pending) > 0
+				if pending {
+					withPending++
+				}
+				rs := []int64{-3, 0, 1, 1}
+				for k := 0; k < 60; k++ {
+					rs = append(rs, rng.Int63n(int64(n)+1))
+				}
+				step := eps * float64(n)
+				for i := 1; float64(i)*step <= float64(n); i++ {
+					rs = append(rs, int64(float64(i)*step+step/2))
+				}
+				rs = append(rs, int64(n), int64(n)+5)
+				slices.Sort(rs)
+				got := slices.Clone(rs)
+				if !sweep.QueryRanks(got) {
+					t.Fatalf("eps=%g %s n=%d: QueryRanks reported empty", eps, name, n)
+				}
+				for k, r := range rs {
+					want, _ := single.Query(r)
+					if got[k] != want {
+						t.Fatalf("eps=%g %s n=%d pending=%v: rank %d answered %d, Query gives %d",
+							eps, name, n, pending, r, got[k], want)
+					}
+				}
+			}
+		}
+	}
+	if withPending == 0 {
+		t.Fatal("no case left inserts pending at the call")
+	}
+	rs := []int64{1, 2}
+	if MustNew(0.01).QueryRanks(rs) || !slices.Equal(rs, []int64{1, 2}) {
+		t.Fatal("QueryRanks on an empty sketch: want false and ranks untouched")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/disk"
@@ -183,6 +184,8 @@ type Store struct {
 
 	// memoCtr aggregates probe-memo traffic across every version.
 	memoCtr memoCounters
+	// historyBuilds counts Version.History builds across every version.
+	historyBuilds atomic.Uint64
 }
 
 // NewStore creates an empty historical store on the given device.
@@ -255,19 +258,6 @@ func (s *Store) PendingBytes() int64 {
 		n += int64(len(sb.data)) * 8
 	}
 	return n
-}
-
-// Levels returns the number of non-empty levels in the current version.
-func (s *Store) Levels() int {
-	v := s.Pin()
-	defer v.Release()
-	max := 0
-	for _, e := range v.entries {
-		if e.Part.Level+1 > max {
-			max = e.Part.Level + 1
-		}
-	}
-	return max
 }
 
 // PartitionCount returns the number of live partitions in the current

@@ -46,6 +46,10 @@ type Version struct {
 	// set; nil when memoization is disabled. Entries never invalidate —
 	// they die with the version (see ProbeMemo).
 	memo *ProbeMemo
+	// hist is the value-sorted union of entries' summaries, built on the
+	// first full-history query (see History).
+	histOnce sync.Once
+	hist     *History
 }
 
 // Seq returns the version's monotonically increasing sequence number.
@@ -131,14 +135,6 @@ func (s *Store) Pin() *Version {
 	defer s.vmu.Unlock()
 	s.cur.refs++
 	return s.cur
-}
-
-// CurrentVersion returns the current version's sequence number (for
-// diagnostics and tests).
-func (s *Store) CurrentVersion() int64 {
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	return s.cur.seq
 }
 
 // LiveVersions returns how many versions are alive (current + pinned), for
